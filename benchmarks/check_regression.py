@@ -7,11 +7,14 @@ Usage (run after the benchmark suite has written its JSON files)::
 ``benchmarks/baselines.json`` lists, per bench name, the *gated*
 metrics (the run fails when a current value drops more than
 ``tolerance`` — default 20% — below its baseline) and the *info*
-metrics (reported but never failing).  Gated metrics are deliberately
-relative ones — speedups of the batch dataplane over the per-tuple
-path — because absolute tuples/s varies wildly across CI runner
-hardware while a dispatch-amortisation ratio does not; the absolute
-numbers ride along as info so drifts stay visible in the nightly log.
+metrics (reported but never failing).  Gated metrics are relative
+where the bench has a baseline to be relative to — speedups and
+ratios, which vary less across CI runner hardware than absolute
+tuples/s.  The live batch dataplane has no second path to compare
+against, so ``live_throughput`` gates its absolute median delivered
+throughput, and its JSON records the host (core count, Python version)
+it was measured on.  Other absolute numbers ride along as info so
+drifts stay visible in the nightly log.
 
 Exit status: 0 when every gate holds, 1 on any regression or missing
 bench file/metric.

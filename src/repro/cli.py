@@ -470,11 +470,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 processors_per_entity=3,
                 seed=args.seed,
             ),
-            LiveSettings(
-                duration=args.duration,
-                batch_size=args.batch_size,
-                batch_execute=not args.per_tuple,
-            ),
+            LiveSettings(duration=args.duration, batch_size=args.batch_size),
         )
         workload = generate_workload(
             catalog,
@@ -906,11 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--queries", type=int, default=48)
     profile.add_argument("--duration", type=float, default=2.0)
     profile.add_argument("--batch-size", type=int, default=32)
-    profile.add_argument(
-        "--per-tuple",
-        action="store_true",
-        help="disable the batch dataplane (profile the per-tuple path)",
-    )
     profile.add_argument(
         "--sort",
         default="cumulative",

@@ -304,8 +304,10 @@ class DistributedCoordinator:
     # ------------------------------------------------------------------
     def _spawn_workers(self, port: int) -> list[subprocess.Popen]:
         env = dict(os.environ)
+        # src/repro/distributed/coordinator.py -> src: the directory
+        # that holds the repro package, so workers import this code
         package_root = os.path.dirname(
-            os.path.dirname(os.path.abspath(__file__))
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         )
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (

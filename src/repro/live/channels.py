@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
+from collections.abc import Iterable
 from typing import Any
 
 from repro.simulation.network import LAN, WAN
@@ -163,7 +164,7 @@ class Batcher:
             return self.take()
         return None
 
-    def add_many(self, items: list[Any]) -> list[list[Any]]:
+    def add_many(self, items: Iterable[Any]) -> list[list[Any]]:
         """Add many items at once; returns every full batch formed.
 
         The batch analogue of calling :meth:`add` per item: batches come

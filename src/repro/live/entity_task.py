@@ -27,6 +27,10 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
+from collections.abc import Callable, Iterator
+from itertools import groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import TypeVar
 
 from repro.dissemination.tree import SOURCE, DisseminationTree
 from repro.engine.plan import Fragment
@@ -42,12 +46,36 @@ TO_RESULT = "result"  # ("result", query_id)
 TO_PARTS = "parts"    # ("parts", router, {dest: (proc_id, fragment_id)})
 TO_TAPS = "taps"      # ("taps", ((proc_id, tap_fragment_id), ...))
 
+T = TypeVar("T")
+K = TypeVar("K")
+
+_stream_of = attrgetter("stream_id")
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def split_runs(
+    items: list[T], key: Callable[[T], K]
+) -> Iterator[tuple[K, list[T]]]:
+    """Split ``items`` into consecutive same-key runs, in order.
+
+    Yields ``(key, run)`` pairs whose runs concatenate back to
+    ``items``: the batch dataplane hands each run to one destination
+    without reordering anything.
+    """
+    for run_key, run in groupby(items, key):
+        yield run_key, list(run)
+
 
 class LiveClock:
     """The run's virtual clock, advanced by the source feeds.
 
     ``time_scale`` is wall seconds per virtual second: ``1.0`` replays
-    in real time, ``0.0`` replays as fast as the hardware allows.
+    in real time, ``0.0`` replays as fast as the hardware allows.  A
+    scaled clock keeps an absolute schedule: virtual time ``t`` is due
+    at ``origin + t * time_scale`` on the event loop's clock, where
+    ``origin`` is the loop time of the first :meth:`pace`, so a late
+    wake-up never shifts the emissions after it.
     """
 
     def __init__(self, time_scale: float = 0.0) -> None:
@@ -56,6 +84,7 @@ class LiveClock:
         self.time_scale = time_scale
         self._virtual = 0.0
         self._advanced = asyncio.Event()
+        self._origin: float | None = None
 
     @property
     def now(self) -> float:
@@ -63,10 +92,15 @@ class LiveClock:
         return self._virtual
 
     async def pace(self, t: float) -> None:
-        """Sleep until virtual time ``t`` (no-op when unscaled)."""
+        """Sleep until virtual time ``t`` is due (no-op when unscaled)."""
         if t > self._virtual:
             if self.time_scale > 0.0:
-                await asyncio.sleep((t - self._virtual) * self.time_scale)
+                loop = asyncio.get_running_loop()
+                if self._origin is None:
+                    self._origin = loop.time()
+                delay = self._origin + t * self.time_scale - loop.time()
+                if delay > 0.0:
+                    await asyncio.sleep(delay)
             self._virtual = max(self._virtual, t)
             self._advanced.set()
 
@@ -250,14 +284,8 @@ class TreeForwarder:
         tuple order (and therefore everything downstream sees) is
         identical to calling :meth:`forward` per tuple.
         """
-        start, n = 0, len(batch)
-        while start < n:
-            stream_id = batch[start].stream_id
-            end = start + 1
-            while end < n and batch[end].stream_id == stream_id:
-                end += 1
-            await self._forward_run(stream_id, batch[start:end])
-            start = end
+        for stream_id, run in split_runs(batch, _stream_of):
+            await self._forward_run(stream_id, run)
 
     async def _forward_run(
         self, stream_id: str, run: list[StreamTuple]
@@ -372,7 +400,6 @@ class LiveGateway:
         *,
         batch_size: int = 8,
         service_wall: float = 0.0,
-        batch_execute: bool = True,
     ) -> None:
         self.entity_id = entity_id
         self.inbox = inbox
@@ -384,7 +411,6 @@ class LiveGateway:
         self.metrics = metrics
         self.clock = clock
         self.service_wall = service_wall
-        self.batch_execute = batch_execute
         self.control = TaskControl()
         self._proc_batchers = {
             proc: Batcher(batch_size) for proc in proc_channels
@@ -414,11 +440,7 @@ class LiveGateway:
                 batch = await self.inbox.get()
             except ChannelClosed:
                 break
-            if self.batch_execute:
-                await self._handle_batch(batch)
-            else:
-                for tup in batch:
-                    await self._handle(tup)
+            await self._handle_batch(batch)
             await self.forwarder.flush()
             await self._flush_procs()
             self.tracker.done(len(batch))
@@ -426,10 +448,11 @@ class LiveGateway:
     async def _handle_batch(self, batch: list[StreamTuple]) -> None:
         """Process one inbox batch without unbatching it.
 
-        Deliveries are recorded in order, the whole batch is relayed via
-        :meth:`TreeForwarder.forward_batch`, and delegate intake is
-        appended to the per-processor batchers in arrival order — every
-        per-destination tuple sequence matches the per-tuple path.
+        Deliveries are recorded in order, the whole batch is relayed to
+        child entities via :meth:`TreeForwarder.forward_batch` (the
+        paper's cooperative duty comes first), and delegate intake is
+        appended to the per-processor batchers in arrival order, so
+        every processor sees its streams' tuples as they arrived.
         """
         now = self.clock.now
         record = self.metrics.record_delivery
@@ -458,27 +481,6 @@ class LiveGateway:
             for full in self._proc_batchers[delegate].add_many(items):
                 await self.transport.send(proc_channels[delegate], full)
 
-    async def _handle(self, tup: StreamTuple) -> None:
-        self.metrics.record_delivery(self.entity_id, tup, self.clock.now)
-        if self.service_wall > 0.0:
-            await asyncio.sleep(self.service_wall)
-        # relay to child entities first (the paper's cooperative duty),
-        # then hand the tuple to the local delegation processor
-        await self.forwarder.forward(tup)
-        delegate = self.delegation.delegate_of(tup.stream_id)
-        if delegate is None or delegate not in self.proc_channels:
-            return
-        if self._replay_depth:
-            buf = self._recent.get(tup.stream_id)
-            if buf is None:
-                buf = self._recent[tup.stream_id] = deque(
-                    maxlen=self._replay_depth
-                )
-            buf.append(tup)
-        full = self._proc_batchers[delegate].add((None, tup))
-        if full is not None:
-            await self.transport.send(self.proc_channels[delegate], full)
-
     async def _flush_procs(self) -> None:
         for proc, batcher in self._proc_batchers.items():
             batch = batcher.take()
@@ -492,7 +494,10 @@ class LiveProcessor:
     Inbox items are ``(fragment_id, tuple)`` pairs; ``fragment_id is
     None`` marks raw delegate intake that must fan out to the head
     fragment of every hosted query consuming the tuple's stream — the
-    same two-step route the simulator's entity performs.
+    same two-step route the simulator's entity performs.  Every
+    fragment runs whole batches through its fused pipeline
+    (:meth:`~repro.engine.plan.Fragment.run_batch`); a batch of one is
+    the per-tuple case.
     """
 
     def __init__(
@@ -511,11 +516,9 @@ class LiveProcessor:
         clock: LiveClock,
         *,
         batch_size: int = 8,
-        batch_execute: bool = True,
     ) -> None:
         self.entity_id = entity_id
         self.proc_id = proc_id
-        self.batch_execute = batch_execute
         self.inbox = inbox
         self.fragments = fragments
         self.downstream = downstream
@@ -548,14 +551,7 @@ class LiveProcessor:
                 batch = await self.inbox.get()
             except ChannelClosed:
                 break
-            if self.batch_execute:
-                await self._execute_batch(batch)
-            else:
-                for fragment_id, tup in batch:
-                    if fragment_id is None:
-                        await self._intake(tup)
-                    else:
-                        await self._run_fragment(fragment_id, tup)
+            await self._execute_batch(batch)
             await self._flush()
             self.tracker.done(len(batch))
 
@@ -567,31 +563,18 @@ class LiveProcessor:
         Consecutive items addressed to the same fragment (the common
         case — upstream batches per destination) run through the fused
         fragment pipeline as one batch; each fragment still consumes its
-        tuples in exactly the arrival order, so outputs match the
-        per-tuple path.
+        tuples in exactly the arrival order.
         """
-        start, n = 0, len(items)
-        while start < n:
-            fragment_id = items[start][0]
-            end = start + 1
-            while end < n and items[end][0] == fragment_id:
-                end += 1
-            run = [tup for __, tup in items[start:end]]
+        for fragment_id, run in split_runs(items, _first):
+            tuples = list(map(_second, run))
             if fragment_id is None:
-                await self._intake_batch(run)
+                await self._intake_batch(tuples)
             else:
-                await self._run_fragment_batch(fragment_id, run)
-            start = end
+                await self._run_fragment_batch(fragment_id, tuples)
 
     async def _intake_batch(self, run: list[StreamTuple]) -> None:
         """Delegate-route a batch of raw stream tuples to head fragments."""
-        start, n = 0, len(run)
-        while start < n:
-            stream_id = run[start].stream_id
-            end = start + 1
-            while end < n and run[end].stream_id == stream_id:
-                end += 1
-            sub = run[start:end]
+        for stream_id, sub in split_runs(run, _stream_of):
             for fragment_id, proc in self.head_routes.get(stream_id, []):
                 admitted = (
                     sub
@@ -600,17 +583,21 @@ class LiveProcessor:
                         fragment_id, sub, self.clock.now
                     )
                 )
-                if not admitted:
-                    continue
-                if proc == self.proc_id:
-                    await self._run_fragment_batch(fragment_id, admitted)
-                else:
-                    items = [(fragment_id, tup) for tup in admitted]
-                    for full in self._proc_batchers[proc].add_many(items):
-                        await self.transport.send(
-                            self.proc_channels[proc], full
-                        )
-            start = end
+                if admitted:
+                    await self._dispatch(proc, fragment_id, admitted)
+
+    async def _dispatch(
+        self, proc_id: str, fragment_id: str, tuples: list[StreamTuple]
+    ) -> None:
+        """Hand ``tuples`` to one fragment: run them inline when this
+        processor hosts it, else append them to the hosting processor's
+        batcher (per-link order preserved)."""
+        if proc_id == self.proc_id:
+            await self._run_fragment_batch(fragment_id, tuples)
+            return
+        batcher = self._proc_batchers[proc_id]
+        for full in batcher.add_many(zip(repeat(fragment_id), tuples)):
+            await self.transport.send(self.proc_channels[proc_id], full)
 
     def _record_busy(self, fragment: Fragment, cost: float) -> None:
         """Account fragment CPU, splitting a shared prefix fragment's
@@ -639,128 +626,31 @@ class LiveProcessor:
         if not outputs:
             return
         kind, *rest = self.downstream[fragment_id]
-        if kind == TO_TAPS:
+        if kind == TO_PROC:
+            proc_id, next_fragment_id = rest
+            await self._dispatch(proc_id, next_fragment_id, outputs)
+        elif kind == TO_TAPS:
+            # tuples are immutable: every member tap gets the same batch
             (taps,) = rest
-            await self._fan_to_taps_batch(taps, outputs)
-            return
-        if kind == TO_RESULT:
+            for proc_id, tap_id in taps:
+                await self._dispatch(proc_id, tap_id, outputs)
+        elif kind == TO_RESULT:
             (query_id,) = rest
             items = [(query_id, out) for out in outputs]
             for full in self._result_batcher.add_many(items):
                 await self.transport.send(self.result_channel, full)
-            return
-        if kind == TO_PARTS:
+        else:  # TO_PARTS
+            # The router turns every output into sequenced partition
+            # events plus merge-bound schedule controls.  Consecutive
+            # events for one destination go as one batch, in the
+            # router's order, so each partition fragment consumes the
+            # event sequence it would one event at a time; the merge
+            # protocol tolerates any interleaving across destinations.
             router, routes = rest
-            await self._route_partitions(router, routes, outputs)
-            return
-        proc_id, next_fragment_id = rest
-        if proc_id == self.proc_id:
-            await self._run_fragment_batch(next_fragment_id, outputs)
-            return
-        items = [(next_fragment_id, out) for out in outputs]
-        for full in self._proc_batchers[proc_id].add_many(items):
-            await self.transport.send(self.proc_channels[proc_id], full)
-
-    async def _intake(self, tup: StreamTuple) -> None:
-        """Delegate routing: raw stream tuple to every head fragment."""
-        for fragment_id, proc in self.head_routes.get(tup.stream_id, []):
-            if self.throttle is not None and not self.throttle.admit(
-                fragment_id, [tup], self.clock.now
-            ):
-                continue
-            if proc == self.proc_id:
-                await self._run_fragment(fragment_id, tup)
-            else:
-                full = self._proc_batchers[proc].add((fragment_id, tup))
-                if full is not None:
-                    await self.transport.send(self.proc_channels[proc], full)
-
-    async def _fan_to_taps_batch(
-        self, taps: tuple, outputs: list[StreamTuple]
-    ) -> None:
-        """Fan a shared prefix's outputs to every member tap.
-
-        Tuples are immutable, so the same output batch is handed to each
-        tap; local taps run inline, remote ones ride the per-processor
-        batchers (per-link order preserved).
-        """
-        for proc_id, tap_id in taps:
-            if proc_id == self.proc_id:
-                await self._run_fragment_batch(tap_id, outputs)
-            else:
-                items = [(tap_id, out) for out in outputs]
-                for full in self._proc_batchers[proc_id].add_many(items):
-                    await self.transport.send(self.proc_channels[proc_id], full)
-
-    async def _run_fragment(self, fragment_id: str, tup: StreamTuple) -> None:
-        fragment = self.fragments.get(fragment_id)
-        if fragment is None:
-            return
-        self._record_busy(fragment, fragment.cost_for(tup))
-        outputs = fragment.run(tup, self.clock.now)
-        if not outputs:
-            return
-        kind, *rest = self.downstream[fragment_id]
-        if kind == TO_TAPS:
-            (taps,) = rest
-            for proc_id, tap_id in taps:
-                if proc_id == self.proc_id:
-                    for out in outputs:
-                        await self._run_fragment(tap_id, out)
-                else:
-                    for out in outputs:
-                        full = self._proc_batchers[proc_id].add((tap_id, out))
-                        if full is not None:
-                            await self.transport.send(
-                                self.proc_channels[proc_id], full
-                            )
-            return
-        if kind == TO_RESULT:
-            (query_id,) = rest
-            for out in outputs:
-                full = self._result_batcher.add((query_id, out))
-                if full is not None:
-                    await self.transport.send(self.result_channel, full)
-            return
-        if kind == TO_PARTS:
-            router, routes = rest
-            await self._route_partitions(router, routes, outputs)
-            return
-        proc_id, next_fragment_id = rest
-        if proc_id == self.proc_id:
-            for out in outputs:
-                await self._run_fragment(next_fragment_id, out)
-            return
-        for out in outputs:
-            full = self._proc_batchers[proc_id].add((next_fragment_id, out))
-            if full is not None:
-                await self.transport.send(self.proc_channels[proc_id], full)
-
-    async def _route_partitions(
-        self, router, routes: dict, outputs: list[StreamTuple]
-    ) -> None:
-        """Fan a pre-stage fragment's outputs across partition fragments.
-
-        The router turns every output into sequenced partition events
-        plus merge-bound schedule controls; each goes to the processor
-        hosting the destination fragment.  Local destinations execute
-        inline, remote ones ride the per-processor batchers — per-link
-        order is preserved either way, and the merge protocol tolerates
-        any cross-link interleaving.
-        """
-        for out in outputs:
-            for dest, event in router.route(out):
-                proc_id, fragment_id = routes[dest]
-                if proc_id == self.proc_id:
-                    await self._run_fragment(fragment_id, event)
-                else:
-                    full = self._proc_batchers[proc_id].add(
-                        (fragment_id, event)
-                    )
-                    if full is not None:
-                        await self.transport.send(
-                            self.proc_channels[proc_id], full
-                        )
+            events = [event for out in outputs for event in router.route(out)]
+            for dest, run in split_runs(events, _first):
+                proc_id, part_id = routes[dest]
+                await self._dispatch(proc_id, part_id, list(map(_second, run)))
 
     async def _flush(self) -> None:
         for proc, batcher in self._proc_batchers.items():

@@ -68,15 +68,11 @@ class LiveSettings:
             fast as possible; ``1`` = real time).
         channel_capacity: Bound on queued batches per entity/processor
             channel — the backpressure knob.
-        batch_size: Tuples per transport batch.
+        batch_size: Tuples per transport batch.  Gateways and
+            processors execute every received batch whole, so ``1``
+            runs the dataplane one tuple at a time.
         batch_linger: In scaled runs, the longest a partial source
             batch may wait before being flushed (virtual seconds).
-        batch_execute: Execute received batches through the fused batch
-            dataplane (gateways relay and delegate whole batches,
-            processors run fragments via ``run_batch``).  ``False``
-            falls back to unbatching every received batch and processing
-            tuple by tuple — the pre-dataplane behaviour, kept as the
-            benchmark baseline.  Both paths are output-identical.
         wan_latency / lan_latency: Modeled per-hop delivery latency in
             virtual seconds (scaled by ``time_scale`` into wall time;
             defaults match the simulated network's tier constants).
@@ -98,7 +94,6 @@ class LiveSettings:
     channel_capacity: int = 256
     batch_size: int = 8
     batch_linger: float = 0.05
-    batch_execute: bool = True
     wan_latency: float = 0.010
     lan_latency: float = 0.0005
     send_timeout: float = 0.25
@@ -515,7 +510,6 @@ class LiveRuntime:
                 clock,
                 batch_size=settings.batch_size,
                 service_wall=settings.gateway_service_wall,
-                batch_execute=settings.batch_execute,
             )
             for proc_id in entity.processors:
                 flow.processors[(entity_id, proc_id)] = LiveProcessor(
@@ -532,7 +526,6 @@ class LiveRuntime:
                     self.metrics,
                     clock,
                     batch_size=settings.batch_size,
-                    batch_execute=settings.batch_execute,
                 )
 
         flow.collector = strategy.result_consumer(flow)

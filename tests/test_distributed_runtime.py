@@ -259,6 +259,17 @@ def test_single_worker_smoke_matches_simulator():
     assert distributed_keys(coordinator) == simulated_keys(7)
 
 
+def test_single_worker_launch_without_pythonpath(monkeypatch):
+    """Workers find the package from the coordinator's own location, not
+    from a ``PYTHONPATH`` the caller happened to set."""
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    coordinator = make_coordinator(seed=7, workers=1, duration=0.3)
+    report = coordinator.run()
+    assert report.results > 0
+    assert coordinator.violations == []
+    assert distributed_keys(coordinator) == simulated_keys(7, duration=0.3)
+
+
 def test_coordinator_is_single_use():
     coordinator = make_coordinator(seed=7, workers=1, duration=0.3)
     coordinator.run()

@@ -8,12 +8,16 @@ workload, and reporting through the existing monitoring report types.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.cli import main
 from repro.core.system import FederatedSystem, SystemConfig
 from repro.interest.predicates import StreamInterest
 from repro.live import LiveRuntime, LiveSettings
+from repro.live.chaos import VirtualClockLoop
+from repro.live.entity_task import LiveClock
 from repro.monitoring.reports import LoadReport, SubtreeLoad
 from repro.query.spec import QuerySpec
 from repro.streams.catalog import stock_catalog
@@ -99,6 +103,30 @@ def test_time_scaled_run_paces_wall_clock():
     # 0.3 virtual seconds at 0.05 wall/virtual >= ~15ms of pacing
     assert report.wall_seconds >= 0.010
     assert report.results >= 0
+
+
+def test_scaled_pace_keeps_an_absolute_schedule():
+    """Late wake-ups never slip the schedule: with 3 ms of overshoot
+    after each of 50 paces 10 ms apart, emission i is still due at
+    origin + i * 10 ms, so the last lands at origin + 0.5 s (sleeping
+    the relative gap instead would put it at 0.65 s)."""
+    clock = LiveClock(time_scale=1.0)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        origin = loop.time()
+        emitted = []
+        for i in range(1, 51):
+            await clock.pace(i * 0.01)
+            emitted.append(loop.time() - origin)
+            loop.advance(0.003)
+        return emitted
+
+    with asyncio.Runner(loop_factory=VirtualClockLoop) as runner:
+        emitted = runner.run(main())
+    assert emitted == pytest.approx([i * 0.01 for i in range(1, 51)])
+    assert emitted[-1] == pytest.approx(0.5)
+    assert clock.now == pytest.approx(0.5)
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,18 @@ def test_fragment_cost_and_selectivity_compose():
     )
 
 
+def test_fragment_cost_for_batch_is_batch_size_times_nominal_cost():
+    """A batch is charged its size times the expected per-input cost,
+    whatever the tuples hold (the amortised charge the live processors
+    book for every fragment run)."""
+    fragment = make_plan(3, sel=0.5, cost=1e-4).split([1])[1]
+    batch = [tup(x=float(i)) for i in range(5)]
+    assert fragment.cost_for_batch(batch) == pytest.approx(
+        5 * fragment.cost_per_input_tuple()
+    )
+    assert fragment.cost_for_batch([]) == 0.0
+
+
 def test_fragment_run_applies_chain():
     interest = StreamInterest.on("s", x=(0, 10))
     ops = [
